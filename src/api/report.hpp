@@ -1,5 +1,4 @@
-// SolveReport: the one result type of the api facade. Subsumes the legacy
-// per-executor results (solve::DistributedResult, solve::SimSolveResult):
+// SolveReport: the one result type of the api facade, for every backend:
 // eigenpairs and convergence counters always, mpi_lite traffic counters for
 // the MpiLite backend, and the modeled-time / link-utilization section for
 // the Sim backend -- so callers switch backends without switching result

@@ -1,7 +1,10 @@
 #include "api/solver.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
+#include <mutex>
 #include <utility>
 
 #include "api/task_adapter.hpp"
@@ -15,10 +18,6 @@
 #include "solve/parallel_jacobi.hpp"
 #include "solve/sim_transport.hpp"
 #include "solve/sweep_engine.hpp"
-// Sanctioned upward include (svc sits above api in the layer graph, see
-// ARCHITECTURE.md): solve_batch delegates to the service layer's pool so
-// batch solves run in parallel while staying bit-identical per matrix.
-#include "svc/service.hpp"
 
 namespace jmh::api {
 
@@ -48,7 +47,7 @@ void fill_svd_solution(SolveReport& report, solve::SvdSolveResult&& sr) {
 
 }  // namespace
 
-SolvePlan::SolvePlan(SolverSpec spec, ord::JacobiOrdering ordering)
+SolvePlan::SolvePlan(SolverSpec spec, ord::JacobiOrdering ordering, std::uint64_t plan_t0)
     : spec_(spec),
       adapter_(&adapter_for(spec.task)),
       ordering_(std::move(ordering)),
@@ -62,11 +61,9 @@ SolvePlan::SolvePlan(SolverSpec spec, ord::JacobiOrdering ordering)
   const obs::ArmScope arm(spec_.trace);
   const obs::SpanScope plan_span("plan", obs::Category::kPlan,
                                  static_cast<std::uint64_t>(spec_.m));
-  const std::uint64_t plan_t0 = obs::trace_now_ns();
   // threads= is an execution knob, not part of the numerical scenario:
   // apply it best-effort (an active pool keeps its width) and move on.
-  if (spec_.threads > 0 && exec::ThreadPool::enabled())
-    exec::ThreadPool::global().ensure_workers(spec_.threads);
+  if (spec_.threads > 0) exec::ThreadPool::global().ensure_workers(spec_.threads);
   switch (spec_.pipelining) {
     case PipeliningPolicy::Off:
       q_ = 0;
@@ -162,7 +159,6 @@ SolveReport SolvePlan::solve_prepared(const la::Matrix& a,
     case Backend::Sim: {
       report.pipelining_q = q_;
       solve::SimSolveOptions sopts;
-      static_cast<solve::SolveOptions&>(sopts) = opts;
       sopts.machine = spec_.machine;
       sopts.overlap_startup = spec_.overlap_startup;
       sopts.pipelined_q = q_;
@@ -231,17 +227,57 @@ SolveReport SolvePlan::solve(const la::Matrix& a, const SolveOverrides& override
   }
 }
 
-std::vector<SolveReport> SolvePlan::solve_batch(const std::vector<la::Matrix>& as) const {
-  return svc::solve_batch_parallel(*this, as);
+std::vector<SolveReport> SolvePlan::solve_batch(const std::vector<la::Matrix>& as,
+                                                std::size_t workers) const {
+  std::vector<SolveReport> reports(as.size());
+  if (as.empty()) return reports;
+  const std::size_t executors = std::min(exec::pick_workers(workers), as.size());
+
+  // Error semantics must not depend on the pool size (the auto pick varies
+  // by machine): every matrix is attempted, and the exception rethrown is
+  // the LOWEST-INDEX failure, not whichever finished first in wall-clock.
+  std::mutex error_mu;
+  std::exception_ptr first_error;
+  std::size_t first_error_index = as.size();
+  auto solve_one = [&](std::size_t i) {
+    try {
+      reports[i] = solve(as[i]);
+    } catch (...) {
+      std::lock_guard lock(error_mu);
+      if (i < first_error_index) {
+        first_error_index = i;
+        first_error = std::current_exception();
+      }
+    }
+  };
+
+  if (executors <= 1) {
+    for (std::size_t i = 0; i < as.size(); ++i) solve_one(i);
+  } else {
+    // The caller plus executors-1 runner tasks on the shared exec pool.
+    // Runners drain a shared index, so a late-starting runner (busy pool)
+    // just finds the index exhausted and no-ops -- the caller's own run()
+    // guarantees every matrix is attempted even if no pool worker ever
+    // frees up. Helping wait makes nested batches (a batch item submitting
+    // a batch) safe.
+    std::atomic<std::size_t> next{0};
+    auto run = [&] {
+      for (std::size_t i = next.fetch_add(1); i < as.size(); i = next.fetch_add(1))
+        solve_one(i);
+    };
+    exec::ThreadPool::TaskGroup group = exec::ThreadPool::global().group();
+    for (std::size_t t = 0; t < executors - 1; ++t) group.add(run);
+    run();
+    group.wait();
+  }
+  if (first_error) std::rethrow_exception(first_error);
+  return reports;
 }
 
-SolvePlan Solver::plan(const SolverSpec& spec) {
-  JMH_REQUIRE(spec.ordering != ord::OrderingKind::Custom,
-              "custom orderings carry their own sequences; use plan(spec, ordering)");
-  return plan(spec, ord::JacobiOrdering(spec.ordering, spec.d));
-}
+namespace {
 
-SolvePlan Solver::plan(const SolverSpec& spec, ord::JacobiOrdering ordering) {
+/// The legality gates both Solver::plan overloads apply.
+void validate_plan_spec(const SolverSpec& spec) {
   JMH_REQUIRE(spec.d >= 1, "hypercube dimension must be >= 1");
   // Task-specific legality (shapes, bseed, per-task knob bans) lives with
   // the adapter; the gates below are task-agnostic and phrased against the
@@ -261,7 +297,25 @@ SolvePlan Solver::plan(const SolverSpec& spec, ord::JacobiOrdering ordering) {
     JMH_REQUIRE(!spec.gershgorin_shift,
                 "topk needs shift=0 (the shift reorders the spectrum the ranking tracks)");
   }
-  return SolvePlan(spec, std::move(ordering));
+}
+
+}  // namespace
+
+SolvePlan Solver::plan(const SolverSpec& spec) {
+  JMH_REQUIRE(spec.ordering != ord::OrderingKind::Custom,
+              "custom orderings carry their own sequences; use plan(spec, ordering)");
+  // plan_ns starts here: building the ordering (MinAlpha's backtracking
+  // search) is the bulk of plan compilation.
+  const std::uint64_t t0 = obs::trace_now_ns();
+  ord::JacobiOrdering ordering(spec.ordering, spec.d);
+  validate_plan_spec(spec);
+  return SolvePlan(spec, std::move(ordering), t0);
+}
+
+SolvePlan Solver::plan(const SolverSpec& spec, ord::JacobiOrdering ordering) {
+  const std::uint64_t t0 = obs::trace_now_ns();
+  validate_plan_spec(spec);
+  return SolvePlan(spec, std::move(ordering), t0);
 }
 
 SolveReport Solver::solve(const SolverSpec& spec, const la::Matrix& a) {

@@ -14,10 +14,6 @@
 // plan.solve calls from different threads are safe (each run builds its own
 // Transport), which is the hot-path shape the ROADMAP's many-scenario
 // serving target needs.
-//
-// The legacy free functions (solve_inline / solve_mpi / solve_mpi_pipelined
-// / solve_sim) survive as deprecated thin wrappers that build a one-shot
-// plan and delegate here.
 #pragma once
 
 #include <vector>
@@ -77,15 +73,22 @@ class SolvePlan {
   SolveReport solve(const la::Matrix& a, const SolveOverrides& overrides) const;
 
   /// Solves several matrices with one plan (the amortization the facade
-  /// exists for). Runs on the svc layer's transient worker pool, so batch
-  /// throughput scales with cores; each report is bit-identical to a
-  /// sequential solve() of the same matrix, and reports are returned in
-  /// input order.
-  std::vector<SolveReport> solve_batch(const std::vector<la::Matrix>& as) const;
+  /// exists for) using up to @p workers concurrent executors (0 = hardware
+  /// pick, capped at as.size(); 1 = sequential in the caller). Executors
+  /// are tasks on the process-wide exec::ThreadPool with the caller
+  /// helping, so batch throughput scales with cores. Reports are returned
+  /// in input order and each is bit-identical to a sequential solve() of
+  /// the same matrix. Error semantics are pool-size independent: every
+  /// matrix is attempted, and the exception of the lowest-index failing
+  /// solve is rethrown once all have finished.
+  std::vector<SolveReport> solve_batch(const std::vector<la::Matrix>& as,
+                                       std::size_t workers = 0) const;
 
  private:
   friend class Solver;
-  SolvePlan(SolverSpec spec, ord::JacobiOrdering ordering);
+  /// @p plan_t0 is the obs::trace_now_ns() at which Solver::plan began, so
+  /// timings.plan_ns covers the ordering construction too.
+  SolvePlan(SolverSpec spec, ord::JacobiOrdering ordering, std::uint64_t plan_t0);
 
   /// The backend dispatch over the CORE matrix (the task adapter's
   /// pre-transforms -- shift, transpose, centering, whitening -- already

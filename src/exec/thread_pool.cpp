@@ -26,12 +26,6 @@ namespace {
 constexpr std::size_t kNotWorker = static_cast<std::size_t>(-1);
 thread_local std::size_t tl_worker_index = kNotWorker;
 
-std::size_t pick_workers(std::size_t requested) {
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 2;
-}
-
 void pin_to_cpu(std::thread& t, std::size_t index) {
 #ifdef __linux__
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
@@ -48,6 +42,12 @@ void pin_to_cpu(std::thread& t, std::size_t index) {
 }
 
 }  // namespace
+
+std::size_t pick_workers(std::size_t requested) {
+  if (requested > 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 2;
+}
 
 // ---- TaskGroup --------------------------------------------------------------
 
@@ -498,16 +498,6 @@ ThreadPool& ThreadPool::global() {
       })};
   (void)gauges;
   return pool;
-}
-
-bool ThreadPool::enabled() {
-  static const bool on = [] {
-    const char* v = std::getenv("JMH_EXEC_POOL");
-    if (!v) return true;
-    const std::string s(v);
-    return !(s == "off" || s == "0" || s == "no");
-  }();
-  return on;
 }
 
 }  // namespace jmh::exec

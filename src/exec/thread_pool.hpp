@@ -64,6 +64,10 @@ namespace jmh::exec {
 
 struct GangState;  // run_gang's shared bookkeeping (defined in the .cpp)
 
+/// Resolves a "0 = hardware pick" thread-count knob: @p requested when
+/// nonzero, else hardware_concurrency (2 when the platform cannot tell).
+std::size_t pick_workers(std::size_t requested);
+
 struct PoolConfig {
   std::size_t workers = 0;  ///< worker threads; 0 = hardware_concurrency
   /// Pin worker i to CPU (i mod cores) on Linux; ignored elsewhere. Off by
@@ -140,11 +144,6 @@ class ThreadPool {
   /// The process-wide pool every layer shares. Created on first use with
   /// JMH_EXEC_THREADS (worker count) and JMH_EXEC_PIN=1 (pinning) honored.
   static ThreadPool& global();
-
-  /// False when JMH_EXEC_POOL=off: callers (net::Universe, svc) fall back
-  /// to the legacy spawn-threads-per-use paths. Exists so the thread-per-
-  /// rank baseline stays measurable with the same binary (PERF.md A/B).
-  static bool enabled();
 
  private:
   struct Task {

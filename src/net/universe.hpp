@@ -37,8 +37,7 @@ class Universe {
   int size() const noexcept { return num_ranks_; }
 
   /// Runs @p fn once per rank, concurrently -- as a gang on the
-  /// process-wide exec::ThreadPool, or on one dedicated thread per rank
-  /// when JMH_EXEC_POOL=off -- and returns when all ranks finish.
+  /// process-wide exec::ThreadPool -- and returns when all ranks finish.
   /// Rethrows the first exception raised by any rank.
   void run(const std::function<void(Comm&)>& fn);
 

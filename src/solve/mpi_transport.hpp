@@ -75,7 +75,7 @@ class MpiLiteTransport : public Transport {
   ColumnBlock merge_scratch_;
 };
 
-/// Shared executor core of solve_mpi / solve_mpi_pipelined: spins up an
+/// Executor core of backend=mpi (plain and pipelined): spins up an
 /// mpi_lite universe and runs the sweep engine over one MpiLiteTransport
 /// endpoint per rank. @p q as in MpiLiteTransport. The Gershgorin shift
 /// must already be unwrapped by the caller.

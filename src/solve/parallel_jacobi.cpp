@@ -7,7 +7,6 @@
 #include "common/assert.hpp"
 #include "obs/trace.hpp"
 #include "solve/fault_injection.hpp"
-#include "solve/legacy_bridge.hpp"
 #include "solve/mpi_transport.hpp"
 #include "solve/sweep_engine.hpp"
 
@@ -79,14 +78,6 @@ DistributedResult assemble_result(std::vector<ColumnBlock> blocks, std::size_t m
     std::copy(src.begin(), src.end(), out.eigenvectors.col(k).begin());
   }
   return out;
-}
-
-DistributedResult solve_inline(const la::Matrix& a, const ord::JacobiOrdering& ordering,
-                               const SolveOptions& opts) {
-  JMH_REQUIRE(a.is_square(), "eigenproblem needs a square matrix");
-  const api::SolverSpec spec = legacy::spec_for(a, ordering, opts, api::Backend::Inline);
-  return legacy::to_distributed(
-      api::Solver::plan(spec, ordering).solve(a, legacy::overrides_for(opts)));
 }
 
 SvdSolveResult assemble_svd_result(std::vector<ColumnBlock> blocks, std::size_t rows,
@@ -218,14 +209,6 @@ SvdSolveResult solve_mpi_svd_like(const la::Matrix& a, const ord::JacobiOrdering
                           run.engine.converged, run.engine.rotations, run.engine.leading);
   result.comm = run.comm;
   return result;
-}
-
-DistributedResult solve_mpi(const la::Matrix& a, const ord::JacobiOrdering& ordering,
-                            const SolveOptions& opts) {
-  JMH_REQUIRE(a.is_square(), "eigenproblem needs a square matrix");
-  const api::SolverSpec spec = legacy::spec_for(a, ordering, opts, api::Backend::MpiLite);
-  return legacy::to_distributed(
-      api::Solver::plan(spec, ordering).solve(a, legacy::overrides_for(opts)));
 }
 
 }  // namespace jmh::solve

@@ -1,22 +1,18 @@
-// Distributed one-sided Jacobi eigensolver driven by a JacobiOrdering.
+// Distributed one-sided Jacobi eigensolver: the assembly of eigenpairs
+// (and singular triplets) from the final column blocks of a sweep-engine
+// run. Callers reach the solver through the api facade (api/solver.hpp);
+// this header is the shape of what every backend's run hands back.
 //
-// NOTE: the free functions here (and in pipelined_executor.hpp /
-// sim_transport.hpp) are the LEGACY entry points, kept as thin wrappers
-// over the api facade; new code should describe the scenario with an
-// api::SolverSpec and reuse an api::SolvePlan (api/solver.hpp).
-//
-// All executors share one sweep engine (solve/sweep_engine.hpp) and differ
+// All backends share one sweep engine (solve/sweep_engine.hpp) and differ
 // only in the Transport they plug into it:
-//   * solve_inline: InlineTransport -- the 2^d nodes simulated sequentially
-//     in one thread (deterministic; used for the Table 2 convergence
-//     experiments);
-//   * solve_mpi: MpiLiteTransport -- each node an mpi_lite rank on its own
-//     thread, exchanging blocks with real messages over the hypercube
-//     overlay -- the shape an MPI port of the paper's algorithm would take;
-//   * solve_mpi_pipelined (pipelined_executor.hpp): MpiLiteTransport with
-//     packetized exchange phases;
-//   * solve_sim (sim_transport.hpp): SimTransport -- inline numerics with
-//     modeled per-link time under pipe::MachineParams.
+//   * InlineTransport -- the 2^d nodes simulated sequentially in one thread
+//     (deterministic; used for the Table 2 convergence experiments);
+//   * MpiLiteTransport -- each node an mpi_lite rank, exchanging blocks with
+//     real messages over the hypercube overlay (optionally packetized
+//     exchange phases) -- the shape an MPI port of the paper's algorithm
+//     would take;
+//   * SimTransport -- inline numerics with modeled per-link time under
+//     pipe::MachineParams.
 //
 // Each sweep: intra-block pairings, then the 2^{d+1}-1 step/transition
 // pairs of the ordering (inter-block pairings + mobile exchange or division
@@ -31,27 +27,17 @@
 
 namespace jmh::solve {
 
+/// Eigenpairs assembled from one run's final blocks (api::SolvePlan moves
+/// them into its SolveReport).
 struct DistributedResult {
   std::vector<double> eigenvalues;  ///< ascending
   la::Matrix eigenvectors;          ///< column k pairs with eigenvalues[k]
   int sweeps = 0;                   ///< sweeps that performed >= 1 rotation
   bool converged = false;
   std::size_t rotations = 0;
-  /// Traffic of the mpi_lite run (zero for solve_inline).
+  /// Traffic of the mpi_lite run (zero for single-owner backends).
   net::CommStats comm;
 };
-
-/// Sequentially-simulated distributed solve on a d-cube.
-/// DEPRECATED: thin wrapper over the api facade -- builds a one-shot
-/// api::SolverSpec per call. New code should compile an api::SolvePlan once
-/// and reuse it (api/solver.hpp).
-DistributedResult solve_inline(const la::Matrix& a, const ord::JacobiOrdering& ordering,
-                               const SolveOptions& opts = {});
-
-/// Thread-per-node distributed solve over mpi_lite.
-/// DEPRECATED: thin wrapper over the api facade (see solve_inline note).
-DistributedResult solve_mpi(const la::Matrix& a, const ord::JacobiOrdering& ordering,
-                            const SolveOptions& opts = {});
 
 /// Assembles eigenpairs from final node blocks (exposed for the executors
 /// and tests). Blocks must jointly cover all m columns. A non-empty

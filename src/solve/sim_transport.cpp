@@ -1,11 +1,6 @@
 #include "solve/sim_transport.hpp"
 
-#include <utility>
-
-#include "common/assert.hpp"
 #include "sim/programs.hpp"
-#include "solve/legacy_bridge.hpp"
-#include "solve/sweep_engine.hpp"
 
 namespace jmh::solve {
 
@@ -92,34 +87,5 @@ std::vector<double> SimTransport::allreduce_sum(std::vector<double> values) {
 }
 
 void SimTransport::allreduce_sum(std::span<double> values) { charge_vote(values.size()); }
-
-SimSolveResult solve_sim(const la::Matrix& a, const ord::JacobiOrdering& ordering,
-                         const SimSolveOptions& opts) {
-  JMH_REQUIRE(a.is_square(), "eigenproblem needs a square matrix");
-  api::SolverSpec spec = legacy::spec_for(a, ordering, opts, api::Backend::Sim);
-  spec.machine = opts.machine;
-  spec.overlap_startup = opts.overlap_startup;
-  if (opts.pipelined_q >= 1) {
-    spec.pipelining = api::PipeliningPolicy::Fixed;
-    spec.q = opts.pipelined_q;
-  }
-  api::SolveReport report =
-      api::Solver::plan(spec, ordering).solve(a, legacy::overrides_for(opts));
-
-  SimSolveResult out;
-  out.modeled_time = report.modeled_time;
-  out.vote_time = report.vote_time;
-  out.modeled_sweeps = report.modeled_sweeps;
-  out.link_busy = std::move(report.link_busy);
-  static_cast<DistributedResult&>(out) = legacy::to_distributed(std::move(report));
-  return out;
-}
-
-double SimSolveResult::mean_link_utilization() const {
-  if (modeled_time <= 0.0 || link_busy.empty()) return 0.0;
-  double total = 0.0;
-  for (double b : link_busy) total += b;
-  return total / (modeled_time * static_cast<double>(link_busy.size()));
-}
 
 }  // namespace jmh::solve

@@ -23,26 +23,16 @@
 #include "pipe/machine.hpp"
 #include "sim/network.hpp"
 #include "solve/inline_transport.hpp"
-#include "solve/parallel_jacobi.hpp"
 
 namespace jmh::solve {
 
-struct SimSolveOptions : SolveOptions {
+/// The modeled machine a SimTransport charges (numerics are InlineTransport's).
+struct SimSolveOptions {
   pipe::MachineParams machine;     ///< ts/tw/ports charged per message
   bool overlap_startup = false;    ///< see sim::SimConfig
   /// 0 = charge exchange phases as full-block transitions; q >= 1 = charge
   /// them as pipelined schedules with q packets per block.
   std::uint64_t pipelined_q = 0;
-};
-
-struct SimSolveResult : DistributedResult {
-  double modeled_time = 0.0;  ///< total modeled communication time
-  double vote_time = 0.0;     ///< part spent in convergence allreduces
-  int modeled_sweeps = 0;     ///< sweeps charged (incl. the final all-skip one)
-  /// Busy time of each directed channel, indexed node * d + link.
-  std::vector<double> link_busy;
-  /// Mean busy fraction over channels and the modeled makespan.
-  double mean_link_utilization() const;
 };
 
 class SimTransport : public InlineTransport {
@@ -74,12 +64,5 @@ class SimTransport : public InlineTransport {
   int modeled_sweeps_ = 0;
   bool charge_transitions_ = true;  // suppressed while a phase charges itself
 };
-
-/// Solves on the simulated machine: eigenpairs identical to solve_inline,
-/// plus the modeled communication time of the run.
-/// DEPRECATED: thin wrapper over the api facade -- new code should use
-/// api::Solver with backend=sim (api/solver.hpp).
-SimSolveResult solve_sim(const la::Matrix& a, const ord::JacobiOrdering& ordering,
-                         const SimSolveOptions& opts = {});
 
 }  // namespace jmh::solve

@@ -85,25 +85,9 @@ class CheckLayersGolden(unittest.TestCase):
         self.assertEqual(proc.returncode, 1)
         self.assertIn("layer 'la' may not include \"ord/ordering.hpp\"", proc.stdout)
 
-    def test_sanctioned_exception_is_accepted_and_impl_only(self):
-        manifest = MANIFEST + """
-[[exception]]
-file = "src/la/bridge.cpp"
-include = "ord/ordering.hpp"
-justification = "golden case: sanctioned upward impl-only edge"
-"""
-        write_tree(self.root, {
-            "src/common/util.hpp": HDR,
-            "src/ord/ordering.hpp": HDR,
-            "src/la/bridge.hpp": HDR,
-            "src/la/bridge.cpp": '#include "la/bridge.hpp"\n#include "ord/ordering.hpp"\n',
-        })
-        proc = run_layers(self.root, manifest)
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-
-    def test_unlisted_exception_header_fails(self):
-        # The same edge WITHOUT the manifest grant must fail: exceptions are
-        # per-(file, include), not per-layer.
+    def test_upward_include_from_cpp_fails(self):
+        # An implementation file is held to the same rule as a header: the
+        # manifest has no exception mechanism.
         write_tree(self.root, {
             "src/common/util.hpp": HDR,
             "src/ord/ordering.hpp": HDR,
@@ -112,22 +96,8 @@ justification = "golden case: sanctioned upward impl-only edge"
         })
         proc = run_layers(self.root)
         self.assertEqual(proc.returncode, 1)
-        self.assertIn("upward edges need an [[exception]] entry", proc.stdout)
-
-    def test_stale_exception_fails(self):
-        manifest = MANIFEST + """
-[[exception]]
-file = "src/la/gone.cpp"
-include = "ord/ordering.hpp"
-justification = "golden case: the file was deleted but the grant remains"
-"""
-        write_tree(self.root, {
-            "src/common/util.hpp": HDR,
-            "src/ord/ordering.hpp": HDR,
-        })
-        proc = run_layers(self.root, manifest)
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("stale [[exception]]", proc.stdout)
+        self.assertIn("layer 'la' may not include \"ord/ordering.hpp\" "
+                      "(allowed: common; upward edges are forbidden)", proc.stdout)
 
     def test_missing_pragma_once_fails(self):
         write_tree(self.root, {

@@ -4,7 +4,10 @@
 // report timings, and the Chrome trace_event JSON golden.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -213,6 +216,25 @@ TEST(Trace, ChromeJsonMatchesGolden) {
 }
 
 #endif  // JMH_TRACE_ENABLED
+
+// plan_ns covers building the ordering: for MinAlpha at d=5 the sequence
+// search is most of Solver::plan, so the reported plan time must reach at
+// least half of the fastest of five stand-alone constructions. plan_ns is
+// measured in both trace modes.
+TEST(Trace, PlanNsCoversOrderingConstruction) {
+  using Clock = std::chrono::steady_clock;
+  auto fastest = std::numeric_limits<std::uint64_t>::max();
+  for (int i = 0; i < 5; ++i) {
+    const Clock::time_point t0 = Clock::now();
+    const ord::JacobiOrdering ordering(ord::OrderingKind::MinAlpha, 5);
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0);
+    fastest = std::min(fastest, static_cast<std::uint64_t>(ns.count()));
+  }
+  const api::SolvePlan plan =
+      api::Solver::plan(api::SolverSpec::parse("ordering=minalpha,m=128,d=5"));
+  const api::SolveReport r = plan.solve(test_matrix(128, 3));
+  EXPECT_GE(2 * r.timings.plan_ns, fastest);
+}
 
 // Structural validation holds in BOTH trace modes: the writer always emits
 // a loadable trace_event document.

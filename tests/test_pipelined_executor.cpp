@@ -1,16 +1,38 @@
-#include "solve/pipelined_executor.hpp"
-
+// Pipelined exchange phases on the mpi backend (packetized blocks through
+// the api facade), and the ColumnBlock split/merge they are built on.
 #include <gtest/gtest.h>
 
+#include "api/solver.hpp"
 #include "la/eigen_check.hpp"
 #include "la/sym_gen.hpp"
+#include "solve/jacobi_node.hpp"
 
 namespace jmh::solve {
 namespace {
 
+using api::SolveReport;
+
 la::Matrix test_matrix(std::size_t n, std::uint64_t seed) {
   Xoshiro256 rng(seed);
   return la::random_uniform_symmetric(n, rng);
+}
+
+/// backend=mpi spec for @p a: q == 0 is pipeline=auto, q >= 1 that degree.
+api::SolverSpec pipelined_spec(const la::Matrix& a, const ord::JacobiOrdering& ordering,
+                               std::uint64_t q) {
+  api::SolverSpec spec;
+  spec.backend = api::Backend::MpiLite;
+  spec.ordering = ordering.kind();
+  spec.m = a.cols();
+  spec.d = ordering.dimension();
+  spec.pipelining = q == 0 ? api::PipeliningPolicy::Auto : api::PipeliningPolicy::Fixed;
+  spec.q = q;
+  return spec;
+}
+
+SolveReport run_pipelined(const la::Matrix& a, const ord::JacobiOrdering& ordering,
+                          std::uint64_t q) {
+  return api::Solver::solve(pipelined_spec(a, ordering, q), a);
 }
 
 TEST(ColumnBlockSplit, EvenSplit) {
@@ -72,10 +94,12 @@ TEST_P(PipelinedSolverTest, MatchesUnpipelinedSolve) {
   const la::Matrix a = test_matrix(m, 100 + m + q);
   const ord::JacobiOrdering ordering(kind, d);
 
-  PipelinedSolveOptions opts;
-  opts.q = q;
-  const DistributedResult pip = solve_mpi_pipelined(a, ordering, opts);
-  const DistributedResult ref = solve_inline(a, ordering);
+  const SolveReport pip = run_pipelined(a, ordering, q);
+  api::SolverSpec inline_spec = pipelined_spec(a, ordering, q);
+  inline_spec.backend = api::Backend::Inline;
+  inline_spec.pipelining = api::PipeliningPolicy::Off;
+  inline_spec.q = 0;
+  const SolveReport ref = api::Solver::solve(inline_spec, a);
 
   ASSERT_TRUE(pip.converged);
   // Rotation order differs between executors (packet-major vs row-major),
@@ -109,7 +133,7 @@ INSTANTIATE_TEST_SUITE_P(Grid, PipelinedSolverTest, ::testing::ValuesIn(pipeline
 TEST(PipelinedSolver, AutoQ) {
   const la::Matrix a = test_matrix(32, 7);
   const ord::JacobiOrdering ordering(ord::OrderingKind::Degree4, 2);
-  const DistributedResult r = solve_mpi_pipelined(a, ordering);  // q = 0 -> auto
+  const SolveReport r = run_pipelined(a, ordering, 0);  // q = 0 -> auto
   ASSERT_TRUE(r.converged);
   EXPECT_LT(la::eigenpair_residual(a, r.eigenvalues, r.eigenvectors), 1e-9);
 }
@@ -118,9 +142,7 @@ TEST(PipelinedSolver, QLargerThanBlock) {
   // Degenerate empty packets must not break anything.
   const la::Matrix a = test_matrix(16, 9);
   const ord::JacobiOrdering ordering(ord::OrderingKind::BR, 2);
-  PipelinedSolveOptions opts;
-  opts.q = 7;  // blocks have 2 columns
-  const DistributedResult r = solve_mpi_pipelined(a, ordering, opts);
+  const SolveReport r = run_pipelined(a, ordering, 7);  // blocks have 2 columns
   ASSERT_TRUE(r.converged);
   EXPECT_LT(la::eigenpair_residual(a, r.eigenvalues, r.eigenvectors), 1e-9);
 }
@@ -130,12 +152,8 @@ TEST(PipelinedSolver, MoreMessagesSmallerEach) {
   // (column) volume.
   const la::Matrix a = test_matrix(32, 11);
   const ord::JacobiOrdering ordering(ord::OrderingKind::Degree4, 2);
-  PipelinedSolveOptions q1;
-  q1.q = 1;
-  PipelinedSolveOptions q4;
-  q4.q = 4;
-  const auto r1 = solve_mpi_pipelined(a, ordering, q1);
-  const auto r4 = solve_mpi_pipelined(a, ordering, q4);
+  const auto r1 = run_pipelined(a, ordering, 1);
+  const auto r4 = run_pipelined(a, ordering, 4);
   ASSERT_TRUE(r1.converged && r4.converged);
   EXPECT_GT(r4.comm.messages, 2 * r1.comm.messages);
   // Column payload volume is identical; only per-packet headers differ.
@@ -149,10 +167,9 @@ TEST(PipelinedSolver, WithGershgorinShift) {
   const std::vector<double> spectrum = {-5.0, -2.0, 2.0, 3.0, 5.0, 6.0, 8.0, 11.0};
   const la::Matrix a = la::symmetric_with_spectrum(spectrum, rng);
   const ord::JacobiOrdering ordering(ord::OrderingKind::PermutedBR, 1);
-  PipelinedSolveOptions opts;
-  opts.gershgorin_shift = true;
-  opts.q = 2;
-  const auto r = solve_mpi_pipelined(a, ordering, opts);
+  api::SolverSpec spec = pipelined_spec(a, ordering, 2);
+  spec.gershgorin_shift = true;
+  const auto r = api::Solver::solve(spec, a);
   ASSERT_TRUE(r.converged);
   EXPECT_LT(la::spectrum_distance(r.eigenvalues, spectrum), 1e-8);
 }

@@ -10,17 +10,34 @@
 
 #include <cmath>
 
+#include "api/solver.hpp"
 #include "la/eigen_check.hpp"
 #include "la/sym_gen.hpp"
 #include "pipe/cost_model.hpp"
-#include "solve/sim_transport.hpp"
 
 namespace jmh::solve {
 namespace {
 
+using api::SolveReport;
+
 la::Matrix test_matrix(std::size_t n, std::uint64_t seed) {
   Xoshiro256 rng(seed);
   return la::random_uniform_symmetric(n, rng);
+}
+
+/// backend=sim solve under the spec's default MachineParams; q >= 1 charges
+/// exchange phases as pipelined schedules of that degree.
+SolveReport run_sim(const la::Matrix& a, const ord::JacobiOrdering& ordering, std::uint64_t q = 0) {
+  api::SolverSpec spec;
+  spec.backend = api::Backend::Sim;
+  spec.ordering = ordering.kind();
+  spec.m = a.cols();
+  spec.d = ordering.dimension();
+  if (q >= 1) {
+    spec.pipelining = api::PipeliningPolicy::Fixed;
+    spec.q = q;
+  }
+  return api::Solver::solve(spec, a);
 }
 
 class SimCostParityTest : public ::testing::TestWithParam<int> {};
@@ -31,15 +48,15 @@ TEST_P(SimCostParityTest, UnpipelinedSweepMatchesCostModel) {
   const la::Matrix a = test_matrix(m, 1000 + static_cast<std::uint64_t>(d));
   const ord::JacobiOrdering ordering(ord::OrderingKind::BR, d);
 
-  SimSolveOptions opts;  // default MachineParams: ts = 1000, tw = 100
-  const SimSolveResult r = solve_sim(a, ordering, opts);
+  const pipe::MachineParams machine{};  // the spec default: ts = 1000, tw = 100
+  const SolveReport r = run_sim(a, ordering);
   ASSERT_TRUE(r.converged);
   EXPECT_LT(la::eigenpair_residual(a, r.eigenvalues, r.eigenvectors), 1e-9);
 
   pipe::ProblemParams prob;
   prob.d = d;
   prob.m = static_cast<double>(m);
-  const double model_sweep = pipe::sweep_cost_unpipelined(prob, opts.machine);
+  const double model_sweep = pipe::sweep_cost_unpipelined(prob, machine);
 
   // Transition charges alone reproduce the closed form exactly.
   ASSERT_GT(r.modeled_sweeps, 0);
@@ -72,9 +89,8 @@ TEST(SimTransport, PipelinedChargingMatchesPhaseCostModel) {
   const la::Matrix a = test_matrix(m, 7);
   const ord::JacobiOrdering ordering(ord::OrderingKind::BR, d);
 
-  SimSolveOptions opts;
-  opts.pipelined_q = 2;
-  const SimSolveResult r = solve_sim(a, ordering, opts);
+  const pipe::MachineParams machine{};
+  const SolveReport r = run_sim(a, ordering, 2);
   ASSERT_TRUE(r.converged);
 
   // Expected per-sweep comm: each exchange phase at degree q (the sigma
@@ -84,16 +100,16 @@ TEST(SimTransport, PipelinedChargingMatchesPhaseCostModel) {
   prob.d = d;
   prob.m = static_cast<double>(m);
   const double s = prob.step_message_elems();
-  double expected = static_cast<double>(d + 1) * pipe::transition_cost(opts.machine, s);
+  double expected = static_cast<double>(d + 1) * pipe::transition_cost(machine, s);
   for (int e = d; e >= 1; --e)
     expected +=
-        pipe::phase_cost_pipelined(ordering.exchange_sequence(e), 2, s, opts.machine);
+        pipe::phase_cost_pipelined(ordering.exchange_sequence(e), 2, s, machine);
 
   const double sim_sweep = (r.modeled_time - r.vote_time) / r.modeled_sweeps;
   EXPECT_NEAR(sim_sweep, expected, 1e-6 * expected);
 
   // Numerics are unchanged by the modeled pipelining.
-  const SimSolveResult plain = solve_sim(a, ordering);
+  const SolveReport plain = run_sim(a, ordering);
   EXPECT_EQ(plain.sweeps, r.sweeps);
   EXPECT_LT(la::spectrum_distance(plain.eigenvalues, r.eigenvalues), 1e-15);
 }
@@ -101,7 +117,7 @@ TEST(SimTransport, PipelinedChargingMatchesPhaseCostModel) {
 TEST(SimTransport, VoteTimeIsSmallAndPositive) {
   const la::Matrix a = test_matrix(16, 5);
   const ord::JacobiOrdering ordering(ord::OrderingKind::Degree4, 2);
-  const SimSolveResult r = solve_sim(a, ordering);
+  const SolveReport r = run_sim(a, ordering);
   ASSERT_TRUE(r.converged);
   EXPECT_GT(r.vote_time, 0.0);
   EXPECT_LT(r.vote_time, r.modeled_time);

@@ -225,14 +225,9 @@ TEST(SolverService, MetricsCarryDispatcherBusyTimeAndPoolStats) {
   }
   EXPECT_GT(dispatched, 0.0);  // six solves cannot take zero time
 
-  if (exec::ThreadPool::enabled()) {
-    // The shared pool section mirrors exec::ThreadPool::global().
-    EXPECT_EQ(m.pool_workers, exec::ThreadPool::global().workers());
-    EXPECT_EQ(m.pool_busy_s.size(), m.pool_workers);
-  } else {
-    EXPECT_EQ(m.pool_workers, 0u);
-    EXPECT_TRUE(m.pool_busy_s.empty());
-  }
+  // The shared pool section mirrors exec::ThreadPool::global().
+  EXPECT_EQ(m.pool_workers, exec::ThreadPool::global().workers());
+  EXPECT_EQ(m.pool_busy_s.size(), m.pool_workers);
 }
 
 TEST(SolverService, PoolThreadsConfigRequestsPoolWidth) {
@@ -244,9 +239,7 @@ TEST(SolverService, PoolThreadsConfigRequestsPoolWidth) {
   service.submit("backend=inline,ordering=d4,m=16,d=2", test_matrix(16, 1)).get();
   service.drain();
   const Metrics m = service.metrics();
-  if (exec::ThreadPool::enabled()) {
-    EXPECT_EQ(m.pool_workers, exec::ThreadPool::global().workers());
-  }
+  EXPECT_EQ(m.pool_workers, exec::ThreadPool::global().workers());
 }
 
 }  // namespace

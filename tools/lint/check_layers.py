@@ -5,13 +5,7 @@ Parses every `#include` edge under src/, tests/, bench/ and examples/ and
 fails (exit 1) on:
 
   * an include edge between src/ layers that tools/lint/layers.toml does not
-    permit, unless the exact (file, include) pair is listed as a sanctioned
-    exception with a justification;
-  * an exception header (an .hpp carrying an upward include) included from
-    anywhere but implementation files of its own layer -- the property that
-    keeps the sanctioned back edges out of the include graph;
-  * a stale exception entry (the pair no longer exists -- keeps the
-    manifest from accumulating dead grants);
+    permit (upward edges have no exceptions);
   * a src/ file including from tests/, bench/ or examples/;
   * a relative (`"../"` or `"./"`) or non-layer-qualified project include;
   * an .hpp under src/ or bench/ without `#pragma once`;
@@ -56,15 +50,7 @@ def parse_manifest(path: Path):
                 sys.exit(f"check_layers: [layers.{name}] depends on unknown layer '{dep}'")
 
     toplevel = set(doc.get("toplevel", {}).get("dirs", []))
-
-    exceptions = {}
-    for entry in doc.get("exception", []):
-        for key in ("file", "include", "justification"):
-            if not entry.get(key) or not str(entry[key]).strip():
-                sys.exit("check_layers: every [[exception]] needs non-empty "
-                         "'file', 'include' and 'justification'")
-        exceptions[(entry["file"], entry["include"])] = entry["justification"]
-    return layers, toplevel, exceptions
+    return layers, toplevel
 
 
 def scan_includes(path: Path):
@@ -97,13 +83,9 @@ def main():
 
     root = args.root.resolve()
     manifest = args.manifest or root / "tools" / "lint" / "layers.toml"
-    layers, toplevel, exceptions = parse_manifest(manifest)
+    layers, toplevel = parse_manifest(manifest)
 
     violations = []
-    used_exceptions = set()
-    # Headers granted an upward include: collect them now so the impl-only
-    # property can be enforced while walking the tree.
-    exception_headers = {f for (f, _inc) in exceptions if f.endswith(".hpp")}
 
     files = []
     for d in SCAN_DIRS:
@@ -159,34 +141,12 @@ def main():
                     f"in {manifest.name}")
                 continue
 
-            # src -> src edge: must be same-layer, permitted, or excepted.
-            if target_layer == layer or target_layer in layers[layer]:
-                pass
-            elif (rel, inc) in exceptions:
-                used_exceptions.add((rel, inc))
-            else:
+            # src -> src edge: must be same-layer or permitted.
+            if target_layer != layer and target_layer not in layers[layer]:
                 violations.append(
                     f"{rel}:{lineno}: layer '{layer}' may not include \"{inc}\" "
                     f"(allowed: {', '.join(sorted(layers[layer])) or 'nothing'}; "
-                    f"upward edges need an [[exception]] entry with a justification)")
-
-            # Impl-only rule for exception headers: only .cpp files of the
-            # header's own layer may include it.
-            if inc in {f"{Path(f).parent.name}/{Path(f).name}" for f in exception_headers}:
-                owner_layer = Path(inc).parts[0]
-                if path.suffix != ".cpp" or layer != owner_layer:
-                    violations.append(
-                        f"{rel}:{lineno}: \"{inc}\" carries a sanctioned upward include "
-                        f"and may only be included from {owner_layer}/*.cpp")
-
-    for (f, inc) in sorted(set(exceptions) - used_exceptions):
-        src_file = root / f
-        if not src_file.is_file():
-            violations.append(f"{f}:1: stale [[exception]]: file no longer exists")
-        else:
-            violations.append(
-                f"{f}:1: stale [[exception]]: no longer includes \"{inc}\" -- "
-                f"remove the manifest entry")
+                    f"upward edges are forbidden)")
 
     if violations:
         for v in violations:
