@@ -61,15 +61,11 @@ SolvePlan::SolvePlan(SolverSpec spec, ord::JacobiOrdering ordering, std::uint64_
   const obs::ArmScope arm(spec_.trace);
   const obs::SpanScope plan_span("plan", obs::Category::kPlan,
                                  static_cast<std::uint64_t>(spec_.m));
-  // threads= is an execution knob, not part of the numerical scenario:
-  // apply it best-effort (an active pool keeps its width) and move on.
-  if (spec_.threads > 0) exec::ThreadPool::global().ensure_workers(spec_.threads);
   switch (spec_.pipelining) {
     case PipeliningPolicy::Off:
       q_ = 0;
       break;
     case PipeliningPolicy::Fixed:
-      JMH_REQUIRE(spec_.q >= 1, "PipeliningPolicy::Fixed needs q >= 1");
       q_ = spec_.q;
       break;
     case PipeliningPolicy::Auto: {
@@ -276,44 +272,31 @@ std::vector<SolveReport> SolvePlan::solve_batch(const std::vector<la::Matrix>& a
 
 namespace {
 
-/// The legality gates both Solver::plan overloads apply.
+/// The feasibility gate a spec string cannot express (every legality rule
+/// is validate()'s): one column per block of the CORE geometry (wide inputs
+/// solve their transpose, so the short side is what the blocks partition).
 void validate_plan_spec(const SolverSpec& spec) {
-  JMH_REQUIRE(spec.d >= 1, "hypercube dimension must be >= 1");
-  // Task-specific legality (shapes, bseed, per-task knob bans) lives with
-  // the adapter; the gates below are task-agnostic and phrased against the
-  // CORE geometry (wide inputs solve their transpose, so the short side is
-  // what the blocks partition and topk truncates).
-  const TaskAdapter& adapter = adapter_for(spec.task);
-  adapter.validate(spec);
-  const CoreGeometry geo = adapter.core_geometry(spec);
-  JMH_REQUIRE(geo.cols >= (std::size_t{2} << spec.d),
+  JMH_REQUIRE(adapter_for(spec.task).core_geometry(spec).cols >= (std::size_t{2} << spec.d),
               "need at least one column per block (min(rows, m) >= 2^(d+1))");
-  JMH_REQUIRE(spec.topk >= 0, "topk must be non-negative");
-  if (spec.topk > 0) {
-    JMH_REQUIRE(static_cast<std::size_t>(spec.topk) <= geo.cols,
-                "topk exceeds the core column count (min(rows, m))");
-    JMH_REQUIRE(spec.stop_rule == solve::StopRule::NoRotations,
-                "topk needs stop=norot (per-column activity has no off(A) analogue)");
-    JMH_REQUIRE(!spec.gershgorin_shift,
-                "topk needs shift=0 (the shift reorders the spectrum the ranking tracks)");
-  }
 }
 
 }  // namespace
 
 SolvePlan Solver::plan(const SolverSpec& spec) {
+  validate(spec);
+  validate_plan_spec(spec);
   JMH_REQUIRE(spec.ordering != ord::OrderingKind::Custom,
               "custom orderings carry their own sequences; use plan(spec, ordering)");
   // plan_ns starts here: building the ordering (MinAlpha's backtracking
   // search) is the bulk of plan compilation.
   const std::uint64_t t0 = obs::trace_now_ns();
   ord::JacobiOrdering ordering(spec.ordering, spec.d);
-  validate_plan_spec(spec);
   return SolvePlan(spec, std::move(ordering), t0);
 }
 
 SolvePlan Solver::plan(const SolverSpec& spec, ord::JacobiOrdering ordering) {
   const std::uint64_t t0 = obs::trace_now_ns();
+  validate(spec);
   validate_plan_spec(spec);
   return SolvePlan(spec, std::move(ordering), t0);
 }

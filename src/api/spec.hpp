@@ -54,10 +54,6 @@
 //                              triplets; 0 = full solve (default 0). Needs
 //                              stop=norot and shift=0; topk=m is bit-for-bit
 //                              the full solve
-//   threads=<n>                resize the process-wide exec::ThreadPool to n
-//                              workers at plan time (best-effort: an active
-//                              pool keeps its width); 0 = leave as is
-//                              (default 0)
 //   deadline_ms=<n>            per-solve wall-clock budget, measured from
 //                              solve() entry; the engine stops at the next
 //                              sweep boundary past it and the solve fails
@@ -93,7 +89,10 @@ namespace jmh::api {
 ///   2 -- adds the trace= key (obs:: span recording + PhaseTimings)
 ///   3 -- adds task=pca|gevd, stop=offdiag_abs, the bseed= key, and wide
 ///        (rows < m) task=svd|pca inputs
-inline constexpr int kSpecVersion = 3;
+///   4 -- drops the threads= key (the exec pool width comes only from
+///        JMH_EXEC_THREADS); every value-range rule is enforced on parsed
+///        and programmatic specs alike (see validate)
+inline constexpr int kSpecVersion = 4;
 
 /// Execution substrate of a solve (see the Transport table in
 /// ARCHITECTURE.md; each backend maps onto one Transport implementation).
@@ -157,10 +156,6 @@ struct SolverSpec {
   /// the leading k columns are rotation-free and extracts only those pairs
   /// (solve::SolveOptions::topk has the precise semantics).
   int topk = 0;
-  /// Requested exec::ThreadPool width, applied best-effort at plan time
-  /// (ThreadPool::ensure_workers); 0 = leave the pool as is. Not part of the
-  /// numerical scenario -- results are identical for every value.
-  std::size_t threads = 0;
   /// Per-solve wall-clock budget in milliseconds, measured from solve()
   /// entry; 0 = no deadline. SolvePlan::solve derives a deadline token from
   /// it (composed under any caller-supplied SolveOverrides::cancel).
@@ -188,14 +183,23 @@ struct SolverSpec {
   /// sequences only exist programmatically).
   std::string to_string() const;
 
-  /// Parses a key=value spec (see grammar above), starting from defaults.
-  /// Throws std::invalid_argument on unknown keys, malformed tokens, or
-  /// invalid values (including ordering=custom: custom orderings carry
-  /// their own sequences and must be supplied programmatically to
-  /// Solver::plan).
+  /// Parses a key=value spec (see grammar above), starting from defaults,
+  /// then runs validate on the result. Throws std::invalid_argument on
+  /// unknown or duplicate keys, malformed tokens (including ordering=custom:
+  /// custom orderings carry their own sequences and must be supplied
+  /// programmatically to Solver::plan), or a spec validate rejects.
   static SolverSpec parse(const std::string& text);
 
   bool operator==(const SolverSpec&) const = default;
 };
+
+/// Every value-range and cross-key rule of the grammar, in one place:
+/// positive thresholds and sweep caps, the machine model, per-task keys
+/// (rows, shift, bseed, topk), the topk ceiling and stop rule, the deadline
+/// bound and fault rates. Throws std::invalid_argument naming the offending
+/// key. SolverSpec::parse and Solver::plan both call it, so a spec plans iff
+/// its canonical string parses (Solver::plan adds only the feasibility
+/// checks: min(rows, m) >= 2^(d+1), and sequences for ordering=custom).
+void validate(const SolverSpec& spec);
 
 }  // namespace jmh::api

@@ -5,7 +5,6 @@
 // orthogonalizes the columns of B = A_core * V over a hypercube of blocks --
 // and differs only at the edges:
 //
-//         validate(spec)            plan-time: task-specific spec legality
 //         core_geometry(spec)       plan-time: the shape the CORE solves
 //   a --> check_input(spec, a)      solve-time: input-shape REQUIREs
 //     --> prepare(spec, a)          pre-transform: the matrix the core sees
@@ -78,11 +77,6 @@ class TaskAdapter {
 
   /// Which core extraction this task consumes (fixed per task).
   virtual CoreKind core_kind() const noexcept = 0;
-
-  /// Plan-time spec legality beyond the global checks (throws
-  /// std::invalid_argument via JMH_REQUIRE). Solver::plan calls this for
-  /// every spec, parsed or programmatic.
-  virtual void validate(const SolverSpec& spec) const = 0;
 
   /// The core problem shape for @p spec: what the BlockLayout partitions,
   /// what the m >= 2^(d+1) gate applies to, and what the pipelining

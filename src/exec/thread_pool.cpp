@@ -261,53 +261,26 @@ void ThreadPool::run_gang_detached(std::size_t n, const std::function<void(std::
 
 // ---- pool core --------------------------------------------------------------
 
-ThreadPool::ThreadPool(PoolConfig config) : pin_threads_(config.pin_threads) {
-  start_workers(pick_workers(config.workers), pin_threads_);
-}
-
-ThreadPool::~ThreadPool() { stop_workers(); }
-
-void ThreadPool::start_workers(std::size_t n, bool pin) {
-  queues_.clear();
-  busy_ns_.clear();
+ThreadPool::ThreadPool(PoolConfig config) {
+  const std::size_t n = pick_workers(config.workers);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     queues_.push_back(std::make_unique<WorkerQueue>());
     busy_ns_.push_back(std::make_unique<std::atomic<std::uint64_t>>(0));
   }
-  stopping_ = false;
   for (std::size_t i = 0; i < n; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
-    if (pin) pin_to_cpu(workers_.back(), i);
+    if (config.pin_threads) pin_to_cpu(workers_.back(), i);
   }
 }
 
-void ThreadPool::stop_workers() {
+ThreadPool::~ThreadPool() {
   {
     std::lock_guard lock(mu_);
     stopping_ = true;
   }
   work_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
-  workers_.clear();
-}
-
-bool ThreadPool::ensure_workers(std::size_t n) {
-  n = pick_workers(n);
-  // Admission lock first (it is never held while taking mu_), and the
-  // resize itself holds it throughout so no gang can be admitted mid-swap.
-  std::lock_guard gang_lock(gang_mu_);
-  if (gang_reserved_ != 0 || gang_next_ticket_ != gang_serving_) return false;
-  {
-    std::lock_guard lock(mu_);
-    if (pending_.load(std::memory_order_relaxed) != 0) return false;
-    if (!injector_.empty()) return false;
-  }
-  if (n == workers_.size()) return true;
-  stop_workers();
-  high_water_.store(0, std::memory_order_relaxed);
-  start_workers(n, pin_threads_);
-  return true;
 }
 
 void ThreadPool::note_pushed() {

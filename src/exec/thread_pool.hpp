@@ -123,20 +123,10 @@ class ThreadPool {
   /// True on a thread currently executing a pool task (worker or helper).
   static bool on_worker_thread() noexcept;
 
-  /// Best-effort resize: applies only when the pool is fully idle (no
-  /// queued or running work, no admitted gangs); returns whether it did.
-  /// Racing callers serialize; a busy pool keeps its current size -- the
-  /// knob exists for SolverSpec threads= and service config, which want
-  /// "configure at startup", not "thrash mid-traffic". Note a completed
-  /// run_gang's reservation (and a helping wait's stale no-op tickets) can
-  /// release a beat after the call returns, so an immediately-following
-  /// resize may transiently refuse; retry if certainty is needed.
-  bool ensure_workers(std::size_t n);
-
   // -- observability ----------------------------------------------------------
   /// Tasks currently queued (plain + gang) across all queues.
   std::size_t queue_depth() const noexcept;
-  /// High-water mark of queue_depth() since construction (or resize).
+  /// High-water mark of queue_depth() since construction.
   std::size_t queue_high_water() const noexcept;
   /// Seconds each worker has spent executing tasks (index = worker).
   std::vector<double> worker_busy_seconds() const;
@@ -155,8 +145,6 @@ class ThreadPool {
     std::shared_ptr<GangState> gang;
   };
 
-  void start_workers(std::size_t n, bool pin);
-  void stop_workers();
   void worker_loop(std::size_t index);
   /// Pops a task: own deque back (LIFO), then the injector, then steal
   /// from other deques (FIFO). Returns false when nothing is queued.
@@ -179,7 +167,6 @@ class ThreadPool {
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> workers_;
   bool stopping_ = false;
-  bool pin_threads_ = false;
 
   // Gang admission (FIFO all-or-nothing reservation of workers).
   std::mutex gang_mu_;

@@ -125,7 +125,6 @@ SolverService::SolverService(ServiceConfig config)
       obs_latency_ns_(obs::Registry::global().histogram("svc.latency_ns")) {
   config_.workers = exec::pick_workers(config.workers);
   config_.max_coalesce = std::max<std::size_t>(1, config_.max_coalesce);
-  if (config_.pool_threads > 0) exec::ThreadPool::global().ensure_workers(config_.pool_threads);
   workers_.reserve(config_.workers);
   worker_busy_ns_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i)

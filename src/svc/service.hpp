@@ -69,11 +69,6 @@ struct ServiceConfig {
   /// Max same-spec jobs one worker coalesces into a single plan resolution
   /// + batch execution (1 = no coalescing).
   std::size_t max_coalesce = 1;
-  /// Best-effort resize of the process-wide exec::ThreadPool at service
-  /// construction (0 = leave it alone). Applies only when the pool is fully
-  /// idle -- the first configurator wins, mid-traffic requests are ignored
-  /// (exec::ThreadPool::ensure_workers semantics).
-  std::size_t pool_threads = 0;
   /// Retries for RETRYABLE failures (transport corruption) before the job's
   /// future fails. Each retry re-runs the full solve with the fault
   /// schedule's attempt counter bumped, after an exponential backoff.

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Golden cases for the lint tooling (tools/lint/).
+"""Golden cases for the lint tooling (tools/lint/) and tools/bench_compare.py.
 
 Each case materializes a miniature repository in a temp directory and runs
 the real linter binaries against it, asserting both the exit code and that
@@ -13,6 +13,7 @@ Registered in ctest as `lint_golden`; also runnable directly:
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 import tempfile
@@ -22,6 +23,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[2]
 CHECK_LAYERS = REPO / "tools" / "lint" / "check_layers.py"
 RUN_TIDY = REPO / "tools" / "lint" / "run_tidy.py"
+BENCH_COMPARE = REPO / "tools" / "bench_compare.py"
 
 MANIFEST = """\
 [layers.common]
@@ -164,6 +166,36 @@ class NolintDisciplineGolden(unittest.TestCase):
         proc = subprocess.run([sys.executable, str(RUN_TIDY)],
                               capture_output=True, text=True)
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
+
+class BenchCompareHostGolden(unittest.TestCase):
+    """A baseline from another host is noted on stderr; the gate is unchanged."""
+
+    def run_compare(self, base_ctx: dict, fresh_ctx: dict) -> subprocess.CompletedProcess:
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for name, ctx in (("base.json", base_ctx), ("fresh.json", fresh_ctx)):
+                doc = {"context": ctx, "benchmarks": [
+                    {"name": "BM_SpecRoundTrip", "run_type": "iteration",
+                     "real_time": 100.0, "time_unit": "ns"}]}
+                path = Path(tmp) / name
+                path.write_text(json.dumps(doc), encoding="utf-8")
+                paths.append(str(path))
+            return subprocess.run([sys.executable, str(BENCH_COMPARE), *paths],
+                                  capture_output=True, text=True)
+
+    def test_host_mismatch_prints_one_note(self):
+        proc = self.run_compare({"host_name": "old", "num_cpus": 1},
+                                {"host_name": "new", "num_cpus": 4})
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertEqual(proc.stderr.count("NOTE: baseline host old (1 cpus"), 1, proc.stderr)
+        self.assertIn("fresh run's host new (4 cpus)", proc.stderr)
+
+    def test_same_host_prints_no_note(self):
+        ctx = {"host_name": "box", "num_cpus": 4}
+        proc = self.run_compare(ctx, ctx)
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertNotIn("NOTE", proc.stderr)
 
 
 if __name__ == "__main__":

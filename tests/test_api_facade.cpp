@@ -4,9 +4,15 @@
 // shareability of one immutable plan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "api/solver.hpp"
 #include "la/eigen_check.hpp"
@@ -20,6 +26,21 @@ namespace {
 la::Matrix test_matrix(std::size_t n, std::uint64_t seed) {
   Xoshiro256 rng(seed);
   return la::random_uniform_symmetric(n, rng);
+}
+
+/// Splits a canonical spec string into its (key, value) pairs.
+std::vector<std::pair<std::string, std::string>> split_spec(const std::string& text) {
+  std::vector<std::pair<std::string, std::string>> out;
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    std::size_t comma = text.find(',', start);
+    if (comma == std::string::npos) comma = text.size();
+    const std::string token = text.substr(start, comma - start);
+    const std::size_t eq = token.find('=');
+    out.emplace_back(token.substr(0, eq), token.substr(eq + 1));
+    start = comma + 1;
+  }
+  return out;
 }
 
 TEST(SolverSpec, DefaultRoundTrips) {
@@ -125,21 +146,19 @@ TEST(SolverSpec, RejectsMalformedInput) {
   EXPECT_THROW(SolverSpec::parse("topk=33"), std::invalid_argument);  // > default m=32
   EXPECT_THROW(SolverSpec::parse("topk=2,stop=offdiag"), std::invalid_argument);
   EXPECT_THROW(SolverSpec::parse("topk=2,shift=1"), std::invalid_argument);
-  EXPECT_THROW(SolverSpec::parse("threads=+2"), std::invalid_argument);
-  EXPECT_THROW(SolverSpec::parse("threads=many"), std::invalid_argument);
+  // The pool width is not part of the scenario name (JMH_EXEC_THREADS sets
+  // it at first use), so threads= is an unknown key.
+  EXPECT_THROW(SolverSpec::parse("threads=4"), std::invalid_argument);
 }
 
-TEST(SolverSpec, TopkAndThreadsRoundTrip) {
+TEST(SolverSpec, TopkRoundTrip) {
   SolverSpec spec;
   spec.m = 64;
   spec.d = 2;
   spec.topk = 5;
-  spec.threads = 3;
   EXPECT_EQ(SolverSpec::parse(spec.to_string()), spec);
   EXPECT_EQ(SolverSpec::parse("m=64,topk=5").topk, 5);
-  EXPECT_EQ(SolverSpec::parse("threads=4").threads, 4u);
   EXPECT_EQ(SolverSpec::parse("").topk, 0);
-  EXPECT_EQ(SolverSpec::parse("").threads, 0u);
   // topk == m is legal (and bit-identical to the full solve downstream);
   // the cross-key check runs on final values, so key order must not matter.
   EXPECT_NO_THROW(SolverSpec::parse("topk=32"));
@@ -277,9 +296,14 @@ TEST(SolverSpec, RejectsNonDigitLeadingCharactersInIntegers) {
 }
 
 // Seeded property test: any valid spec the generator can produce must
-// round-trip EXACTLY through its canonical string, and the canonical string
-// must be a fixed point of parse . to_string.
+// round-trip EXACTLY through its canonical string, the canonical string
+// must be a fixed point of parse . to_string, and Solver::plan must accept
+// the spec whenever its geometry is feasible. The key list comes from the
+// canonical string itself, and every key must render at least two distinct
+// values: a key added to the grammar without generator coverage fails here.
 TEST(SolverSpec, FuzzedValidSpecsRoundTripExactly) {
+  std::map<std::string, std::set<std::string>> rendered;
+  for (const auto& [key, value] : split_spec(SolverSpec{}.to_string())) rendered[key];
   Xoshiro256 rng(20260727);
   const ord::OrderingKind kinds[] = {ord::OrderingKind::BR, ord::OrderingKind::PermutedBR,
                                      ord::OrderingKind::Degree4, ord::OrderingKind::MinAlpha};
@@ -326,7 +350,6 @@ TEST(SolverSpec, FuzzedValidSpecsRoundTripExactly) {
           spec.rows != 0 && spec.rows < spec.m ? spec.rows : spec.m;
       spec.topk = static_cast<int>(1 + rng.below(core_cols));
     }
-    if (rng.below(2)) spec.threads = 1 + rng.below(8);
     if (rng.below(2)) spec.deadline_ms = 1 + rng.below(60000);
     spec.trace = rng.below(2) != 0;
     if (rng.below(3) == 0) {
@@ -342,7 +365,19 @@ TEST(SolverSpec, FuzzedValidSpecsRoundTripExactly) {
     ASSERT_NO_THROW(back = SolverSpec::parse(text)) << "iter " << iter << ": " << text;
     EXPECT_EQ(back, spec) << "iter " << iter << ": " << text;
     EXPECT_EQ(back.to_string(), text) << "iter " << iter;
+    for (const auto& [key, value] : split_spec(text)) {
+      ASSERT_TRUE(rendered.count(key)) << "key " << key << " missing from the default spec";
+      rendered[key].insert(value);
+    }
+
+    const std::size_t core_cols = std::min(spec.input_rows(), spec.m);
+    if (core_cols >= (std::size_t{2} << spec.d))
+      EXPECT_NO_THROW(Solver::plan(spec)) << "iter " << iter << ": " << text;
+    else
+      EXPECT_THROW(Solver::plan(spec), std::invalid_argument) << "iter " << iter << ": " << text;
   }
+  for (const auto& [key, values] : rendered)
+    EXPECT_GE(values.size(), 2u) << "the generator never varies key '" << key << "'";
 }
 
 // Adversarial malformed strings: every rejection must name the offending
@@ -374,6 +409,48 @@ TEST(SolverSpec, MalformedStringsNameTheOffendingKey) {
       EXPECT_NE(std::string(e.what()).find(c.named), std::string::npos)
           << c.text << " -> " << e.what();
     }
+  }
+}
+
+// Regression: the legality rules used to live in three places (parse,
+// the task adapters, Solver::plan) that had drifted apart, so Solver::plan
+// compiled specs whose own canonical string parse rejects -- and
+// max_sweeps=0 then "solved" to sweeps=0, converged=0 with no error. plan
+// and parse now share one validator: each of these must be refused by
+// both, naming the key.
+TEST(SolverPlan, PlanAndParseAgreeOnEverySpec) {
+  const SolverSpec base = SolverSpec::parse("m=16,d=2");
+  ASSERT_NO_THROW(Solver::plan(base));
+  const struct {
+    const char* key;
+    void (*mutate)(SolverSpec&);
+  } cases[] = {
+      {"bseed", [](SolverSpec& s) { s.bseed = 5; }},  // task=evd has no B-side
+      {"threshold", [](SolverSpec& s) { s.threshold = -1.0; }},
+      {"threshold", [](SolverSpec& s) { s.threshold = 0.0; }},
+      {"max_sweeps", [](SolverSpec& s) { s.max_sweeps = 0; }},
+      {"off_tol", [](SolverSpec& s) { s.off_tol = -1.0; }},
+      {"ts", [](SolverSpec& s) { s.machine.ts = -5.0; }},
+      {"ports", [](SolverSpec& s) { s.machine.ports = 0; }},
+      {"faults",
+       [](SolverSpec& s) {
+         s.faults.seed = 1;
+         s.faults.corrupt_rate = 2.0;
+       }},
+      {"deadline_ms", [](SolverSpec& s) { s.deadline_ms = 5000000000ull; }},
+  };
+  for (const auto& c : cases) {
+    SolverSpec spec = base;
+    c.mutate(spec);
+    const std::string quoted = std::string("'") + c.key + "'";
+    try {
+      Solver::plan(spec);
+      ADD_FAILURE() << "Solver::plan accepted " << spec.to_string();
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(quoted), std::string::npos)
+          << c.key << " -> " << e.what();
+    }
+    EXPECT_THROW(SolverSpec::parse(spec.to_string()), std::invalid_argument) << c.key;
   }
 }
 

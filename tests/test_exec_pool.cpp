@@ -9,7 +9,6 @@
 //     and gangs launched from inside a pool task (detached fallback);
 //   * exceptions propagate: first error by submission (gang: lowest index)
 //     order, after every closure finished;
-//   * ensure_workers resizes only an idle pool;
 //   * the observability counters (queue high-water, per-worker busy time)
 //     move when work moves.
 // The stress cases double as the TSan workload for the exec suite (CI runs
@@ -167,38 +166,6 @@ TEST(ExecPool, ConcurrentGangsAdmitFifoWithoutDeadlock) {
   for (auto& t : callers) t.join();
   EXPECT_EQ(gangs_done.load(), 32);
   EXPECT_EQ(plain.load(), 32);
-}
-
-TEST(ExecPool, EnsureWorkersResizesOnlyWhenIdle) {
-  ThreadPool pool(PoolConfig{2, false});
-  EXPECT_TRUE(pool.ensure_workers(3));
-  EXPECT_EQ(pool.workers(), 3u);
-  EXPECT_TRUE(pool.ensure_workers(3));  // no-op resize to the same size
-
-  // While a gang occupies the pool the resize must refuse.
-  std::atomic<int> entered{0};
-  std::atomic<int> release{0};
-  std::thread gang_caller([&] {
-    pool.run_gang(2, [&](std::size_t) {
-      entered.fetch_add(1);
-      spin_until(release, 1);
-    });
-  });
-  spin_until(entered, 2);
-  EXPECT_FALSE(pool.ensure_workers(4));
-  EXPECT_EQ(pool.workers(), 3u);
-  release.store(1);
-  gang_caller.join();
-
-  // The worker that popped the gang's ticket releases its reservation a
-  // beat AFTER run_gang returns (the closure count hits zero inside the
-  // closure itself), so the idle-only resize may transiently refuse --
-  // best-effort is the contract. It must succeed once the lag clears.
-  bool resized = false;
-  for (int i = 0; i < 1000000 && !(resized = pool.ensure_workers(1)); ++i)
-    std::this_thread::yield();
-  EXPECT_TRUE(resized);
-  EXPECT_EQ(pool.workers(), 1u);
 }
 
 TEST(ExecPool, ObservabilityCountersMove) {

@@ -230,17 +230,5 @@ TEST(SolverService, MetricsCarryDispatcherBusyTimeAndPoolStats) {
   EXPECT_EQ(m.pool_busy_s.size(), m.pool_workers);
 }
 
-TEST(SolverService, PoolThreadsConfigRequestsPoolWidth) {
-  // pool_threads is best-effort (an active pool keeps its width), so the
-  // assertion is only that construction succeeds and the metrics echo a
-  // consistent pool view -- not that the resize landed.
-  SolverService service(
-      {.workers = 1, .queue_capacity = 8, .cache_capacity = 2, .pool_threads = 2});
-  service.submit("backend=inline,ordering=d4,m=16,d=2", test_matrix(16, 1)).get();
-  service.drain();
-  const Metrics m = service.metrics();
-  EXPECT_EQ(m.pool_workers, exec::ThreadPool::global().workers());
-}
-
 }  // namespace
 }  // namespace jmh::svc

@@ -22,7 +22,9 @@ one run of bench_micro gates every committed baseline at once.
 
 Only cases matching --filter (default: the named hot cases of PERF.md)
 and present in BOTH tables are gated; everything else is reported
-informationally. Baselines are machine-specific: gate with the default 15%
+informationally. A baseline recorded on a different host (google-benchmark
+context host_name / num_cpus) gets a note on stderr; the gate itself is
+unchanged. Baselines are machine-specific: gate with the default 15%
 only against baselines recorded on the same machine (see PERF.md). Across
 machines (e.g. CI runners vs the baseline host) use a coarse
 --max-regression to catch order-of-magnitude regressions -- an accidental
@@ -65,6 +67,31 @@ def load_cases(path):
         unit = TIME_UNIT_NS[b.get("time_unit", "ns")]
         cases[b["name"]] = float(b["real_time"]) * unit
     return cases
+
+
+def load_host(path):
+    """(host_name, num_cpus) from the google-benchmark context block."""
+    with open(path) as f:
+        ctx = json.load(f).get("context", {})
+    return ctx.get("host_name"), ctx.get("num_cpus")
+
+
+def note_host_mismatch(baseline_paths, fresh_path):
+    """One stderr note per baseline host that differs from the fresh run's.
+
+    Informational only: a ratio across machines mixes the code change with
+    the hardware change, so the reader should know when that is the case.
+    """
+    fresh_host = load_host(fresh_path)
+    by_host = {}
+    for path in baseline_paths:
+        host = load_host(path)
+        if host != fresh_host:
+            by_host.setdefault(host, []).append(path)
+    for (name, cpus), paths in by_host.items():
+        print(f"NOTE: baseline host {name} ({cpus} cpus; {', '.join(paths)}) differs "
+              f"from the fresh run's host {fresh_host[0]} ({fresh_host[1]} cpus); "
+              f"ratios compare different machines", file=sys.stderr)
 
 
 def merge_baselines(paths):
@@ -135,6 +162,7 @@ def main():
 
     base = merge_baselines(baseline_paths)
     fresh = load_cases(fresh_path)
+    note_host_mismatch(baseline_paths, fresh_path)
     gate = re.compile(args.filter)
 
     rows = []
